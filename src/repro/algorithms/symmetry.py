@@ -7,6 +7,14 @@ The paper computes each count once (for ``u < v``) and mirrors it to
 ``e(u, v) ← e(v, u)`` so the final mirroring is a gather instead of a
 search.  Both strategies are implemented here; their modeled costs feed
 Table 5.
+
+The production mirror (:func:`repro.kernels.batch.symmetric_assign`)
+goes one step further on a compiled provider: it needs no reverse
+offsets at all.  Walking the ``u < v`` edges in CSR order meets the
+reverses ``e(v, u)`` of each row ``v`` in ascending ``u``, which is
+their CSR order, so a per-vertex cursor ``cursor[v]`` always holds the
+reverse offset Algorithm 4 would have stored — the co-processing step
+becomes ``cnt[cursor[v]++] = cnt[e]``, one O(|E|) pass with |V| cursors.
 """
 
 from __future__ import annotations

@@ -151,13 +151,7 @@ def _cmd_plan(args) -> int:
                 collect_stats=True,
                 cover=not args.no_cover,
             ).hybrid_report
-            for t in report.timings:
-                print(
-                    f"ran    {t.name:7s}: {t.edges:>8d} edges in "
-                    f"{t.measured_ms:9.2f} ms (predicted {t.predicted_ns / 1e6:9.2f} ms)"
-                )
-            print(f"symmetric assign : {report.fuse_seconds * 1e3:.2f} ms")
-            print(f"total            : {report.total_seconds * 1e3:.2f} ms")
+            print(report.format_runs())
     cache = plan_cache_stats()
     print(
         f"plan cache       : {cache.hits} hits, {cache.misses} misses, "

@@ -3,10 +3,11 @@
 The paper's premise is that all-edge common neighbor counting is bound
 by the raw speed of the intersection inner loops; everything else in
 this reproduction orchestrates NumPy dispatches around them.  This
-package drops the interpreter from those loops entirely.  Three kernels
+package drops the interpreter from those loops entirely.  Four kernels
 are provided — the galloping (exponential + binary lower bound)
-intersection, the batched lower-bound search, and the BMP mark/probe
-loop — through whichever *provider* the host supports:
+intersection, the batched lower-bound search, the BMP mark/probe loop,
+and the cursor mirror of the symmetric assignment — through whichever
+*provider* the host supports:
 
 ``numba``
     ``@njit``-compiled machine code (preferred: vendor-tested codegen,
@@ -17,11 +18,16 @@ loop — through whichever *provider* the host supports:
     (:mod:`repro.compiled._ccjit`) — covers images that ship a
     toolchain but no numba wheel.
 
-When neither dependency exists the package still imports cleanly and
-:func:`available` answers ``False``: the registry entries built on top
+The default count path runs on these kernels whenever a provider
+exists: the hybrid plan executor (:mod:`repro.plan.executor`) sends its
+gallop and bitmap buckets here, and
+:func:`repro.kernels.batch.symmetric_assign` mirrors through
+:func:`mirror_counts_compiled`.  When neither dependency exists the
+package still imports cleanly and :func:`available` answers ``False``:
+those paths run their NumPy kernels, the registry entries built on top
 of it (``gallop-compiled``/``bitmap-compiled`` in
-:mod:`repro.engine.registry`) are declared unavailable, the fuzzer
-skips them, and every interpreted path behaves exactly as before.
+:mod:`repro.engine.registry`) are declared unavailable, and the fuzzer
+skips them.
 
 Selection is automatic (numba, else cc, else unavailable) and can be
 forced with ``REPRO_COMPILED=numba|cc|off`` for debugging and the
@@ -50,6 +56,7 @@ __all__ = [
     "count_edges_galloping_compiled",
     "count_edges_bitmap_compiled",
     "batched_lower_bound_compiled",
+    "mirror_counts_compiled",
 ]
 
 _UNSET = object()
@@ -82,8 +89,14 @@ def _probe_cc():
             lib.repro_lower_bound_batch(hay, lo, hi, targets, len(targets), out)
 
         @staticmethod
-        def bitmap_counts(offsets, dst, src, eo, mark, out):
-            lib.repro_bitmap_counts(offsets, dst, src, eo, len(eo), mark, out)
+        def bitmap_counts(offsets, n, dst, eo, mark, cnt, aligned):
+            lib.repro_bitmap_counts(
+                offsets, n, dst, eo, len(eo), mark, cnt, int(aligned)
+            )
+
+        @staticmethod
+        def mirror_counts(offsets, dst, n, cursor, cnt):
+            return lib.repro_mirror_counts(offsets, dst, n, cursor, cnt)
 
     return _CCImpl
 
@@ -143,10 +156,18 @@ def require():
 
 
 def reset_provider_cache() -> None:
-    """Forget the cached provider probe (tests flip ``REPRO_COMPILED``)."""
+    """Forget the cached provider probe (tests flip ``REPRO_COMPILED``).
+
+    The C provider's loaded library and remembered build failure are
+    dropped too, so the next :func:`provider` call really re-probes.
+    """
     global _provider, _impl
     _provider = _UNSET
     _impl = None
+    from repro.compiled import _ccjit
+
+    _ccjit._LIB = None
+    _ccjit._LOAD_FAILED = False
 
 
 # --------------------------------------------------------------------- #
@@ -190,28 +211,70 @@ def count_edges_bitmap_compiled(
     """Compiled counterpart of :func:`~repro.kernels.batch.
     count_edges_bitmap`: BMP counts written into ``cnt``.
 
-    ``edge_offsets`` must be sorted ascending (source-grouped, as
+    The kernel derives each edge's source with a forward cursor over
+    ``graph.offsets``, marks that source's neighborhood once per run of
+    edges sharing it, probes every ``N(v)`` against the byte-per-vertex
+    mark array, clears only the marks it set, and writes each count
+    straight into ``cnt``.  Any order of ``edge_offsets`` is correct; an
+    ascending (source-grouped) order — as
     :meth:`GraphSession.upper_edge_offsets` and the planner's buckets
-    produce them): the kernel marks each source's neighborhood exactly
-    once per run of edges sharing it, probes every ``N(v)`` against the
-    byte-per-vertex mark array, and clears only the marks it set.  With
-    ``aligned=True`` the result lands at ``cnt[i]`` instead of
-    ``cnt[edge_offsets[i]]`` (compact per-chunk buffers).
+    produce it — marks each source once.  With ``aligned=True`` the
+    result lands at ``cnt[i]`` instead of ``cnt[edge_offsets[i]]``
+    (compact per-chunk buffers).
     """
     impl = require()
     eo = np.ascontiguousarray(edge_offsets, dtype=np.int64)
-    if len(eo) == 0:
+    m = len(eo)
+    if m == 0:
         return
-    offsets = graph.offsets
-    src = np.searchsorted(offsets, eo, side="right") - 1
-    src = np.ascontiguousarray(src, dtype=np.int64)
+    if eo.min() < 0 or eo.max() >= graph.num_directed_edges:
+        raise IndexError("edge offset out of range for the graph")
+    if len(cnt) < (m if aligned else graph.num_directed_edges):
+        raise IndexError("count vector shorter than the edges it receives")
+    direct = _writable_i64(cnt)
+    out = cnt if direct else np.zeros(m if aligned else len(cnt), dtype=np.int64)
     mark = np.zeros(graph.num_vertices, dtype=np.uint8)
-    out = np.zeros(len(eo), dtype=np.int64)
-    impl.bitmap_counts(offsets, graph.dst, src, eo, mark, out)
-    if aligned:
-        cnt[: len(eo)] = out
-    else:
-        cnt[eo] = out
+    impl.bitmap_counts(
+        graph.offsets, graph.num_vertices, graph.dst, eo, mark, out, aligned
+    )
+    if not direct:
+        if aligned:
+            cnt[:m] = out
+        else:
+            cnt[eo] = out[eo]
+
+
+def mirror_counts_compiled(graph: CSRGraph, cnt: np.ndarray) -> bool:
+    """Mirror ``u < v`` counts onto their reverses in place, in O(|E|).
+
+    One walk of the upper edges in CSR order with a |V| cursor array:
+    the lower entries ``e(v, u)`` of row ``v`` are met in ascending
+    ``u``, which is their CSR order, so ``cnt[cursor[v]++] = cnt[e]``
+    fills every reverse with no search and no |E|-sized temporary.  A
+    first walk checks that every upper edge finds its reverse at the
+    cursor; when one does not (an asymmetric CSR such as an oriented
+    DAG, or ``cnt`` not a writable int64 vector over every offset) the
+    function returns ``False`` with ``cnt`` untouched, and the caller
+    falls back to the lexsort mirror.
+    """
+    impl = require()
+    if len(cnt) != graph.num_directed_edges or not _writable_i64(cnt):
+        return False
+    cursor = np.empty(graph.num_vertices, dtype=np.int64)
+    status = impl.mirror_counts(
+        graph.offsets, graph.dst, graph.num_vertices, cursor, cnt
+    )
+    return status == 0
+
+
+def _writable_i64(a) -> bool:
+    """Whether a kernel may write ``a`` in place (int64, C-contiguous)."""
+    return (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.int64
+        and a.flags.c_contiguous
+        and a.flags.writeable
+    )
 
 
 def batched_lower_bound_compiled(

@@ -2,7 +2,7 @@
 
 Numba is the preferred provider (:mod:`repro.compiled._numbajit`), but
 many deployment images carry a system C compiler and no numba wheel.
-This module embeds the three hot loops as one small C translation unit,
+This module embeds the hot loops as one small C translation unit,
 compiles it on first use with whatever ``cc`` the platform offers
 (``-O3 -shared -fPIC``), and binds the symbols through :mod:`ctypes`
 with :func:`numpy.ctypeslib.ndpointer` signatures.
@@ -32,8 +32,9 @@ __all__ = ["load", "build_dir", "KERNEL_SOURCE"]
 
 #: The hot loops, exactly mirroring the numba provider: a per-edge
 #: galloping intersection (exponential + binary lower bound, resuming
-#: from the previous match position), a batched lower-bound search, and
-#: the BMP mark/probe loop over source-grouped edges.
+#: from the previous match position), a batched lower-bound search, the
+#: BMP mark/probe loop over source-grouped edges, and the cursor mirror
+#: of the symmetric assignment.
 KERNEL_SOURCE = r"""
 #include <stdint.h>
 
@@ -92,16 +93,33 @@ void repro_lower_bound_batch(const int32_t *hay, const int64_t *lo,
         out[i] = lower_bound(hay, lo[i], hi[i], targets[i]);
 }
 
-/* BMP mark/probe over edges pre-sorted by source vertex: mark N(u) once
- * per source run, probe each edge's N(v) against the mark array.  The
- * caller provides `mark` as |V| zeroed bytes; it is returned zeroed. */
-void repro_bitmap_counts(const int64_t *offsets, const int32_t *dst,
-                         const int64_t *src, const int64_t *eo,
-                         int64_t m, uint8_t *mark, int64_t *out)
+/* Row of edge offset e: the u with offsets[u] <= e < offsets[u + 1]. */
+static int64_t edge_row(const int64_t *offsets, int64_t n, int64_t e)
 {
-    int64_t cur = -1;
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = (int64_t)(((uint64_t)lo + (uint64_t)hi) >> 1);
+        if (offsets[mid + 1] <= e) lo = mid + 1; else hi = mid;
+    }
+    return lo;
+}
+
+/* BMP mark/probe: mark N(u) once per run of edges sharing a source u,
+ * probe each edge's N(v) against the mark array.  Each edge's source
+ * comes from a forward cursor over `offsets` (a binary search re-locates
+ * it when the offsets step backwards, so any order is correct; ascending
+ * order marks each source once).  The count lands in cnt[eo[i]], or in
+ * cnt[i] when `aligned`.  The caller provides `mark` as |V| zeroed
+ * bytes; it is returned zeroed. */
+void repro_bitmap_counts(const int64_t *offsets, int64_t n, const int32_t *dst,
+                         const int64_t *eo, int64_t m, uint8_t *mark,
+                         int64_t *cnt, int64_t aligned)
+{
+    int64_t cur = -1, u = 0;
     for (int64_t i = 0; i < m; ++i) {
-        int64_t u = src[i];
+        int64_t e = eo[i];
+        if (e < offsets[u]) u = edge_row(offsets, n, e);
+        while (offsets[u + 1] <= e) ++u;
         if (u != cur) {
             if (cur >= 0)
                 for (int64_t k = offsets[cur]; k < offsets[cur + 1]; ++k)
@@ -110,15 +128,59 @@ void repro_bitmap_counts(const int64_t *offsets, const int32_t *dst,
                 mark[dst[k]] = 1;
             cur = u;
         }
-        int32_t v = dst[eo[i]];
-        int64_t cnt = 0;
+        int32_t v = dst[e];
+        int64_t c = 0;
         for (int64_t k = offsets[v]; k < offsets[v + 1]; ++k)
-            cnt += mark[dst[k]];
-        out[i] = cnt;
+            c += mark[dst[k]];
+        cnt[aligned ? i : e] = c;
     }
     if (cur >= 0)
         for (int64_t k = offsets[cur]; k < offsets[cur + 1]; ++k)
             mark[dst[k]] = 0;
+}
+
+/* One walk of the u < v edges in CSR order with a per-vertex cursor:
+ * the lower entries e(v, u) of row v are met in ascending u, which is
+ * their CSR order, so cursor[v] always points at the reverse of the
+ * current upper edge e(u, v).  Returns 0 when every upper edge finds its
+ * reverse there and every lower entry is some upper edge's reverse (a
+ * symmetric CSR with strictly ascending rows), 1 otherwise.  With
+ * `write`, cnt[cursor[v]++] = cnt[e] mirrors the counts; a write walk
+ * is only run after a check walk returned 0, so it stays in bounds and
+ * an asymmetric CSR leaves cnt untouched. */
+static int64_t mirror_walk(const int64_t *offsets, const int32_t *dst,
+                           int64_t n, int64_t *cursor, int64_t *cnt,
+                           int write)
+{
+    for (int64_t v = 0; v < n; ++v) cursor[v] = offsets[v];
+    for (int64_t u = 0; u < n; ++u) {
+        /* Rows below u are walked: cursor[u] has passed every lower
+         * entry of row u, so the upper entries start there.  An entry
+         * from there on that is not above both u and its left
+         * neighbour fails the check. */
+        int64_t prev = u;
+        for (int64_t k = cursor[u]; k < offsets[u + 1]; ++k) {
+            int64_t v = dst[k];
+            if (v <= prev || v >= n) return 1;
+            int64_t c = cursor[v];
+            if (c >= offsets[v + 1] || dst[c] != u) return 1;
+            if (write) cnt[c] = cnt[k];
+            cursor[v] = c + 1;
+            prev = v;
+        }
+    }
+    return 0;
+}
+
+/* Mirror u < v counts onto their reverses (the symmetric assignment):
+ * O(|E|) with |V| cursors and no |E|-sized temporary.  Returns 0 when
+ * mirrored, 1 (cnt untouched) when the CSR is not symmetric. */
+int64_t repro_mirror_counts(const int64_t *offsets, const int32_t *dst,
+                            int64_t n, int64_t *cursor, int64_t *cnt)
+{
+    if (mirror_walk(offsets, dst, n, cursor, cnt, 0)) return 1;
+    mirror_walk(offsets, dst, n, cursor, cnt, 1);
+    return 0;
 }
 """
 
@@ -135,26 +197,31 @@ def build_dir() -> str:
 
 
 def _compile(so_path: str) -> bool:
+    """Build ``so_path``; every intermediate file carries this process id,
+    so concurrent first builds never read each other's partial files."""
     os.makedirs(os.path.dirname(so_path), exist_ok=True)
-    c_path = so_path[: -len(".so")] + ".c"
-    tmp_so = f"{so_path}.{os.getpid()}.tmp"
+    tag = f"{so_path[: -len('.so')]}.{os.getpid()}"
+    c_path, tmp_so = f"{tag}.c", f"{tag}.so.tmp"
     with open(c_path, "w") as fh:
         fh.write(KERNEL_SOURCE)
-    for compiler in _COMPILERS:
-        try:
-            proc = subprocess.run(
-                [compiler, "-O3", "-shared", "-fPIC", "-o", tmp_so, c_path],
-                capture_output=True,
-                timeout=120,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            continue
-        if proc.returncode == 0:
-            os.replace(tmp_so, so_path)  # atomic vs concurrent builders
-            return True
-    if os.path.exists(tmp_so):  # pragma: no cover - failed link leftovers
-        os.unlink(tmp_so)
-    return False
+    try:
+        for compiler in _COMPILERS:
+            try:
+                proc = subprocess.run(
+                    [compiler, "-O3", "-shared", "-fPIC", "-o", tmp_so, c_path],
+                    capture_output=True,
+                    timeout=120,
+                )
+            except (OSError, subprocess.TimeoutExpired):
+                continue
+            if proc.returncode == 0:
+                os.replace(tmp_so, so_path)  # atomic vs concurrent builders
+                return True
+        return False
+    finally:
+        for leftover in (c_path, tmp_so):
+            if os.path.exists(leftover):
+                os.unlink(leftover)
 
 
 _i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -164,8 +231,12 @@ _u8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 _SIGNATURES = {
     "repro_gallop_counts": [_i64, _i32, _i64, _i64, ctypes.c_int64, _i64],
     "repro_lower_bound_batch": [_i32, _i64, _i64, _i32, ctypes.c_int64, _i64],
-    "repro_bitmap_counts": [_i64, _i32, _i64, _i64, ctypes.c_int64, _u8, _i64],
+    "repro_bitmap_counts": [
+        _i64, ctypes.c_int64, _i32, _i64, ctypes.c_int64, _u8, _i64, ctypes.c_int64,
+    ],
+    "repro_mirror_counts": [_i64, _i32, ctypes.c_int64, _i64, _i64],
 }
+_RESTYPES = {"repro_mirror_counts": ctypes.c_int64}
 
 _LIB: ctypes.CDLL | None = None
 _LOAD_FAILED = False
@@ -191,7 +262,7 @@ def load() -> ctypes.CDLL | None:
         for name, argtypes in _SIGNATURES.items():
             fn = getattr(lib, name)
             fn.argtypes = argtypes
-            fn.restype = None
+            fn.restype = _RESTYPES.get(name)
     except (OSError, AttributeError):  # pragma: no cover - host-specific
         _LOAD_FAILED = True
         return None

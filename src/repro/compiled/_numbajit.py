@@ -1,4 +1,4 @@
-"""Numba provider: the same three hot loops as ``@njit`` machine code.
+"""Numba provider: the same hot loops as ``@njit`` machine code.
 
 Imported only after :mod:`repro.compiled` has confirmed numba is
 importable, so this module may assume the dependency.  The kernels are
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from numba import njit
 
-__all__ = ["gallop_counts", "lower_bound_batch", "bitmap_counts"]
+__all__ = ["gallop_counts", "lower_bound_batch", "bitmap_counts", "mirror_counts"]
 
 
 @njit(cache=True, nogil=True)
@@ -70,10 +70,28 @@ def lower_bound_batch(hay, lo, hi, targets, out):
 
 
 @njit(cache=True, nogil=True)
-def bitmap_counts(offsets, dst, src, eo, mark, out):
+def _edge_row(offsets, n, e):
+    lo = 0
+    hi = n
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if offsets[mid + 1] <= e:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+@njit(cache=True, nogil=True)
+def bitmap_counts(offsets, n, dst, eo, mark, cnt, aligned):
     cur = np.int64(-1)
+    u = np.int64(0)
     for i in range(len(eo)):
-        u = src[i]
+        e = eo[i]
+        if e < offsets[u]:
+            u = _edge_row(offsets, n, e)
+        while offsets[u + 1] <= e:
+            u += 1
         if u != cur:
             if cur >= 0:
                 for k in range(offsets[cur], offsets[cur + 1]):
@@ -81,11 +99,39 @@ def bitmap_counts(offsets, dst, src, eo, mark, out):
             for k in range(offsets[u], offsets[u + 1]):
                 mark[dst[k]] = 1
             cur = u
-        v = dst[eo[i]]
-        cnt = 0
+        v = dst[e]
+        c = 0
         for k in range(offsets[v], offsets[v + 1]):
-            cnt += mark[dst[k]]
-        out[i] = cnt
+            c += mark[dst[k]]
+        cnt[i if aligned else e] = c
     if cur >= 0:
         for k in range(offsets[cur], offsets[cur + 1]):
             mark[dst[k]] = 0
+
+
+@njit(cache=True, nogil=True)
+def _mirror_walk(offsets, dst, n, cursor, cnt, write):
+    for v in range(n):
+        cursor[v] = offsets[v]
+    for u in range(n):
+        prev = u
+        for k in range(cursor[u], offsets[u + 1]):
+            v = dst[k]
+            if v <= prev or v >= n:
+                return 1
+            c = cursor[v]
+            if c >= offsets[v + 1] or dst[c] != u:
+                return 1
+            if write:
+                cnt[c] = cnt[k]
+            cursor[v] = c + 1
+            prev = v
+    return 0
+
+
+@njit(cache=True, nogil=True)
+def mirror_counts(offsets, dst, n, cursor, cnt):
+    if _mirror_walk(offsets, dst, n, cursor, cnt, False):
+        return 1
+    _mirror_walk(offsets, dst, n, cursor, cnt, True)
+    return 0

@@ -18,13 +18,15 @@ count for every directed edge offset, aligned with ``graph.dst``:
   used for cross-validation on small graphs.
 
 Plus the symmetric-assignment machinery shared by every algorithm
-(paper §3: compute only ``u < v``, mirror to ``e(v, u)``).
+(paper §3: compute only ``u < v``, mirror to ``e(v, u)``): a compiled
+O(|E|) cursor walk when a provider exists, a lexsort otherwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import compiled
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -52,7 +54,21 @@ def reverse_edge_offsets(graph: CSRGraph) -> np.ndarray:
 
 
 def symmetric_assign(graph: CSRGraph, cnt: np.ndarray) -> np.ndarray:
-    """Mirror counts from ``u < v`` edge offsets onto their reverses."""
+    """Mirror counts from ``u < v`` edge offsets onto their reverses.
+
+    This is the reverse-offset step of the paper's Algorithm 4 without
+    any reverse-offset array.  With a compiled provider one O(|E|)
+    cursor walk does it (:func:`repro.compiled.mirror_counts_compiled`):
+    walking the ``u < v`` edges in CSR order meets the reverses
+    ``e(v, u)`` of each row ``v`` in ascending ``u`` — their own CSR
+    order — so a per-vertex cursor stands in for the per-edge binary
+    search that co-processing hides.  Without a provider, or when the
+    walk finds the CSR asymmetric (it then writes nothing), a lexsort
+    (:func:`reverse_edge_offsets`) maps every offset to its reverse.
+    Both give the same counts.
+    """
+    if compiled.available() and compiled.mirror_counts_compiled(graph, cnt):
+        return cnt
     rev = reverse_edge_offsets(graph)
     src = graph.edge_sources()
     upper = src < graph.dst  # offsets holding computed counts

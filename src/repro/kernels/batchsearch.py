@@ -142,8 +142,14 @@ def count_edges_galloping(
         pos = batched_lower_bound(dst, hay_lo, hay_hi, targets, ops)
         found = pos < hay_hi
         found &= dst[np.minimum(pos, len(dst) - 1)] == targets
-        if len(found):
-            out[sl] = np.add.reduceat(found, _segment_starts(blk_lens))
+        # On an asymmetric (DAG-oriented) CSR the smaller list N⁺(·) may
+        # be empty; ``reduceat`` misreads zero-length segments, so reduce
+        # only the non-empty ones (their sums stay zero).
+        nz = blk_lens > 0
+        if nz.any():
+            sums = np.zeros(len(blk_lens), dtype=np.int64)
+            sums[nz] = np.add.reduceat(found, _segment_starts(blk_lens)[nz])
+            out[sl] = sums
         if ops is not None:
             ops.seq_words += len(targets)  # needle elements streamed
             ops.rand_words += len(targets)  # verification gather per lane

@@ -8,10 +8,17 @@ over their buckets and fuses everything through
 * **cover** bucket → no kernel at all: zero-class edges keep the zeroed
   count vector, probe-class edges run one batched wedge-closure search
   (:func:`repro.plan.coveredge.probe_cover_counts`)
-* **gallop** bucket → :func:`repro.kernels.batchsearch.count_edges_galloping`
-* **bitmap** bucket → :func:`repro.kernels.batch.count_edges_bitmap`
+* **gallop** bucket → :func:`count_edges_galloping`
+* **bitmap** bucket → :func:`count_edges_bitmap`
 * **matmul** bucket → :func:`repro.kernels.batch.count_all_edges_matmul`
   restricted to the planned rows
+
+The gallop and bitmap buckets run on the compiled kernels
+(:mod:`repro.compiled`) whenever a provider exists, and on the NumPy
+kernels (:mod:`repro.kernels.batchsearch`, :mod:`repro.kernels.batch`)
+otherwise; the mirror does the same inside ``symmetric_assign``.  Every
+pair is bit-exact, and each :class:`BucketTiming` names the provider
+that ran (``"cc"``, ``"numba"`` or ``"numpy"``).
 
 SpGEMM over a row produces counts for *all* of the row's edge offsets, not
 just the planned ones; writing them is harmless because every kernel is
@@ -25,30 +32,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import compiled
 from repro.graph.csr import CSRGraph
-from repro.kernels.batch import (
-    count_all_edges_matmul,
-    count_edges_bitmap,
-    symmetric_assign,
-)
-from repro.kernels.batchsearch import count_edges_galloping
+from repro.kernels import batch, batchsearch
+from repro.kernels.batch import count_all_edges_matmul, symmetric_assign
 from repro.plan.planner import DEFAULT_SKEW_THRESHOLD, ExecutionPlan, get_plan
 
 __all__ = [
     "HybridReport",
     "execute_plan",
     "count_all_edges_hybrid",
+    "count_edges_galloping",
+    "count_edges_bitmap",
 ]
+
+
+def count_edges_galloping(graph: CSRGraph, edge_offsets: np.ndarray) -> np.ndarray:
+    """Gallop-bucket counts aligned with ``edge_offsets``: the compiled
+    kernel when a provider exists, the NumPy one otherwise."""
+    if compiled.available():
+        return compiled.count_edges_galloping_compiled(graph, edge_offsets)
+    return batchsearch.count_edges_galloping(graph, edge_offsets)
+
+
+def count_edges_bitmap(
+    graph: CSRGraph, edge_offsets: np.ndarray, cnt: np.ndarray
+) -> None:
+    """Bitmap-bucket counts written into ``cnt``: the compiled kernel
+    when a provider exists, the NumPy one otherwise."""
+    if compiled.available():
+        compiled.count_edges_bitmap_compiled(graph, edge_offsets, cnt)
+    else:
+        batch.count_edges_bitmap(graph, edge_offsets, cnt)
 
 
 @dataclass(frozen=True)
 class BucketTiming:
-    """Measured wall time of one bucket next to the planner's prediction."""
+    """Measured wall time of one bucket next to the planner's prediction,
+    and the kernel provider that ran it (``"cc"``, ``"numba"`` or
+    ``"numpy"``)."""
 
     name: str
     edges: int
     predicted_ns: float
     measured_seconds: float
+    provider: str = "numpy"
 
     @property
     def measured_ms(self) -> float:
@@ -65,12 +93,16 @@ class HybridReport:
     total_seconds: float
 
     def format(self) -> str:
-        lines = [self.plan.format()]
-        for t in self.timings:
-            lines.append(
-                f"ran    {t.name:7s}: {t.edges:>8d} edges in {t.measured_ms:9.2f} ms"
-                f" (predicted {t.predicted_ns / 1e6:9.2f} ms)"
-            )
+        return self.plan.format() + "\n" + self.format_runs()
+
+    def format_runs(self) -> str:
+        """The measured part of :meth:`format`: one line per bucket with
+        its provider, then the mirror and the total."""
+        lines = [
+            f"ran    {t.name:7s}: {t.edges:>8d} edges in {t.measured_ms:9.2f} ms"
+            f" (predicted {t.predicted_ns / 1e6:9.2f} ms) on {t.provider}"
+            for t in self.timings
+        ]
         lines.append(f"symmetric assign : {self.fuse_seconds * 1e3:.2f} ms")
         lines.append(f"total            : {self.total_seconds * 1e3:.2f} ms")
         return "\n".join(lines)
@@ -113,11 +145,12 @@ def execute_plan(
     With a started :class:`~repro.parallel.threadpool.ParallelCounter` as
     ``pool``, the bitmap bucket — the hybrid plan's dominant work on
     real graphs — is split into ``effective_workers × chunks_per_worker``
-    cost-balanced edge chunks and farmed out to the persistent workers;
-    the gallop and matmul buckets stay vectorized in-process.  Results
-    are bit-identical either way.
+    cost-balanced edge chunks and farmed out to the persistent workers,
+    which run the NumPy kernel; the gallop and matmul buckets stay
+    in-process.  Results are bit-identical either way.
     """
     t_start = time.perf_counter()
+    kernel_provider = compiled.provider() or "numpy"
     cnt = np.zeros(graph.num_directed_edges, dtype=np.int64)
     timings = []
 
@@ -138,6 +171,7 @@ def execute_plan(
             plan.num_cover_edges,
             bucket_ns["cover"],
             time.perf_counter() - t0,
+            kernel_provider,
         )
     )
 
@@ -150,12 +184,15 @@ def execute_plan(
             len(plan.gallop_edges),
             bucket_ns["gallop"],
             time.perf_counter() - t0,
+            kernel_provider,
         )
     )
 
     t0 = time.perf_counter()
+    bitmap_provider = kernel_provider
     if len(plan.bitmap_edges):
         if pool is not None and pool.is_parallel:
+            bitmap_provider = "numpy"
             num_chunks = pool.effective_workers * max(1, int(chunks_per_worker))
             chunks = _bitmap_edge_chunks(plan, num_chunks)
             for eo, vals in pool.run_edge_chunks(chunks):
@@ -168,6 +205,7 @@ def execute_plan(
             len(plan.bitmap_edges),
             bucket_ns["bitmap"],
             time.perf_counter() - t0,
+            bitmap_provider,
         )
     )
 

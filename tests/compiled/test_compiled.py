@@ -1,5 +1,7 @@
 """Compiled kernel providers: bit-exactness, gating, fuzz registration."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,10 @@ def test_module_imports_cleanly_whatever_the_host_has():
         assert compiled.unavailable_reason() is None
     else:
         assert compiled.provider() is None
-        assert "numba" in compiled.unavailable_reason()
+        forced = os.environ.get("REPRO_COMPILED", "").strip().lower()
+        forced_off = forced in ("off", "0", "none", "false")
+        expected = "REPRO_COMPILED=off" if forced_off else "numba"
+        assert expected in compiled.unavailable_reason()
 
 
 def test_forced_off_disables_and_names_the_reason(monkeypatch):

@@ -177,3 +177,19 @@ def test_opcounts_pin_all_misses_star():
     assert ops.binary_steps == 32
     assert ops.rand_words == 40
     assert ops.matches == 0
+
+
+def test_galloping_on_oriented_dag_with_empty_out_lists():
+    # orient_dag leaves sinks with empty N⁺(v); their zero-length lanes
+    # must count zero and must not shift their neighbours' sums.
+    from repro.motif.clique import orient_dag
+
+    g = csr_from_pairs([(1, 0), (4, 2), (0, 3), (4, 3), (5, 1), (1, 2)])
+    dag = orient_dag(g)
+    eo = np.arange(dag.num_directed_edges, dtype=np.int64)
+    src = dag.edge_sources()
+    expected = [
+        len(np.intersect1d(dag.neighbors(int(src[e])), dag.neighbors(int(dag.dst[e]))))
+        for e in eo
+    ]
+    np.testing.assert_array_equal(count_edges_galloping(dag, eo), expected)

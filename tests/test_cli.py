@@ -328,3 +328,25 @@ def test_serve_parser_defaults():
     assert args.port == 0
     assert args.host == "127.0.0.1"
     assert args.preload is None or args.preload == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plan", "tw", "--scale", "0.05", "--execute"),
+        ("count", "tw", "--scale", "0.05", "--backend", "hybrid", "--stats"),
+    ],
+)
+def test_executed_buckets_name_their_kernel_provider(capsys, argv):
+    from repro import compiled
+
+    code, out = run(capsys, *argv)
+    assert code == 0
+    ran = {
+        line.split(":")[0].split()[1]: line.rsplit(" on ", 1)[1]
+        for line in out.splitlines()
+        if line.startswith("ran ")
+    }
+    kernel_provider = compiled.provider() or "numpy"
+    assert ran["gallop"] == ran["bitmap"] == kernel_provider
+    assert ran["matmul"] == "numpy"
